@@ -45,8 +45,6 @@
 
 use byzreg_runtime::{HelpShard, ProcessId, RegisterFactory, Result, System, Value};
 
-use crate::quorum::EngineParts;
-
 use crate::authenticated::{AuthenticatedReader, AuthenticatedRegister, AuthenticatedWriter};
 use crate::sticky::{StickyReader, StickyRegister, StickyWriter};
 use crate::verifiable::{VerifiableReader, VerifiableRegister, VerifiableWriter};
@@ -128,31 +126,17 @@ pub trait SignatureVerifier<V: Value>: Send {
     /// which is exactly what the default does. Families override it to
     /// amortize the §5.1 quorum machinery across the batch: the
     /// verifiable/authenticated readers run **one** shared round sequence
-    /// for the whole batch (`byzreg_core::quorum::verify_quorum_many`), and
-    /// the sticky reader answers every check from a single quorum read of
-    /// its immutable content.
+    /// for the whole batch (`byzreg_core::quorum::quorum_rounds_many`) and
+    /// record every check in the instance's history log, and the sticky
+    /// reader answers every check from a single recorded quorum read of its
+    /// immutable content. A batch covers one register instance; the keyed
+    /// store batches across keys by calling this once per key.
     ///
     /// # Errors
     ///
     /// [`byzreg_runtime::Error::Shutdown`] if the system is shutting down.
     fn verify_many(&mut self, vs: &[V]) -> Result<Vec<bool>> {
         vs.iter().map(|v| self.verify_value(v)).collect()
-    }
-
-    /// The reader-side §5.1 engine handles of this register instance, for
-    /// fusing `Verify` batches **across register instances** into one
-    /// shared round sequence with one logical asker counter per reader
-    /// (see [`crate::quorum::verify_quorum_groups`]; the keyed store's
-    /// `verify_many` is the consumer). `None` — the default, and the
-    /// sticky family's answer — means this family's checks do not run the
-    /// voting engine: the sticky register answers a whole batch from a
-    /// single quorum read instead, so there is nothing to fuse.
-    ///
-    /// Checks decided through a fused run are not recorded in the
-    /// instance's operation history: the history log is per-instance
-    /// (diagnostics and spec monitors), while a fused run spans many.
-    fn engine_parts(&self) -> Option<EngineParts<V>> {
-        None
     }
 }
 
@@ -283,10 +267,6 @@ impl<V: Value> SignatureVerifier<V> for VerifiableReader<V> {
     fn verify_many(&mut self, vs: &[V]) -> Result<Vec<bool>> {
         VerifiableReader::verify_many(self, vs)
     }
-
-    fn engine_parts(&self) -> Option<EngineParts<V>> {
-        Some(VerifiableReader::engine_parts(self))
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -347,10 +327,6 @@ impl<V: Value> SignatureVerifier<V> for AuthenticatedReader<V> {
 
     fn verify_many(&mut self, vs: &[V]) -> Result<Vec<bool>> {
         AuthenticatedReader::verify_many(self, vs)
-    }
-
-    fn engine_parts(&self) -> Option<EngineParts<V>> {
-        Some(AuthenticatedReader::engine_parts(self))
     }
 }
 

@@ -48,7 +48,7 @@ use byzreg_runtime::{
 use byzreg_spec::registers::{AuthInv, AuthResp};
 
 use crate::quorum::{
-    verify_quorum, verify_quorum_many, AskerTracker, Endpoints, EngineParts, QuorumFabric, Reply,
+    verify_quorum, verify_quorum_many, AskerTracker, Endpoints, QuorumFabric, Reply,
 };
 
 /// A process's witness set (content of `R_j`, `j ≠ 1`).
@@ -534,20 +534,6 @@ impl<V: Value> AuthenticatedReader<V> {
             self.log.respond(op, self.pid, AuthResp::VerifyResult(*outcome));
         }
         Ok(outcomes)
-    }
-
-    /// This reader's §5.1 engine handles (asker counter + reply column),
-    /// for fusing verifies across register instances — see
-    /// [`crate::quorum::verify_quorum_groups`]. The handles carry the
-    /// reader's own capabilities only; holding the reader handle is what
-    /// authorizes taking them.
-    #[must_use]
-    pub fn engine_parts(&self) -> EngineParts<V> {
-        EngineParts {
-            ck: self.ck_w.clone(),
-            replies: self.reply_column.clone(),
-            demand: self.demand.clone(),
-        }
     }
 }
 

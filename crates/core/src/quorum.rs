@@ -20,10 +20,7 @@
 
 use std::collections::BTreeSet;
 
-use byzreg_runtime::{
-    Env, HelpDemand, HelpDemandGuard, ProcessId, ReadPort, RegisterFactory, Result, Roles, Value,
-    WritePort,
-};
+use byzreg_runtime::{Env, ProcessId, ReadPort, RegisterFactory, Result, Roles, Value, WritePort};
 
 use parking_lot::Mutex;
 
@@ -282,188 +279,6 @@ pub fn verify_quorum_many<V: Value>(
             }
         },
     )
-}
-
-/// The reader-side §5.1 engine handles of one register instance: cloned
-/// ports of the reader's asker counter `C_k` and reply column `R_{j,k}`.
-///
-/// Obtained from a reader handle (which *is* the reader's capability — the
-/// asker counter is the reader's own write port), these let a caller fuse
-/// `Verify` batches **across register instances** through
-/// [`verify_quorum_groups`], sharing one logical asker counter per reader.
-pub struct EngineParts<V: Value> {
-    /// The reader's asker round counter `C_k` of this instance.
-    pub ck: WritePort<u64>,
-    /// The reader's reply column `R_{j,k}` of this instance, one port per
-    /// process `p_j`.
-    pub replies: Vec<ReadPort<Reply<V>>>,
-    /// The instance's help-shard demand handle, when the instance is hosted
-    /// on a demand-driven shard (keyed-store installs): a fused run begins
-    /// demand on every touched instance so the right shards' engines wake
-    /// and keep ticking while the batch has pending rounds. `None` for
-    /// instances on the unsharded always-on engines.
-    pub demand: Option<HelpDemand>,
-}
-
-/// One register instance's slice of a cross-instance batched `Verify`.
-pub struct VerifyGroup<V: Value> {
-    /// The instance's reader-side engine handles.
-    pub parts: EngineParts<V>,
-    /// The values to check against this instance.
-    pub vs: Vec<V>,
-}
-
-/// Cross-register batched `Verify`: decides every group's values with **one
-/// logical asker counter per reader** driving all groups' round sequences
-/// in lockstep, instead of one independent round sequence per register.
-///
-/// All groups must belong to the *same* reader `p_k` of the same system
-/// `env`. The engine keeps a single monotone cursor, starting above every
-/// group's current `C_k`; each shared round writes the cursor into every
-/// still-undecided group's counter (one logical bump, fanned out) and then
-/// harvests **one** fresh reply per pending group before the cursor
-/// advances. Per group, the observed execution is exactly a
-/// [`quorum_rounds_many`] run whose counter values skip — helpers only
-/// ever require `C_k` to increase, and a reply is fresh iff it answers the
-/// current cursor — so the §5.1 safety and termination arguments apply to
-/// each group unchanged. The win is wall-clock: a batch touching `m`
-/// registers waits `max` of the groups' round counts, not their sum, and
-/// every register's helpers work the same engine rounds concurrently.
-///
-/// Decision rule per value: `|set1| ≥ n − f` ⇒ `true`, `|set0| > f` ⇒
-/// `false`, as in [`verify_quorum`]. Returns one outcome vector per group,
-/// in group order.
-///
-/// # Errors
-///
-/// Returns [`byzreg_runtime::Error::Shutdown`] if the system shuts down
-/// mid-operation.
-pub fn verify_quorum_groups<V: Value>(
-    env: &Env,
-    groups: &[VerifyGroup<V>],
-) -> Result<Vec<Vec<bool>>> {
-    let n = env.n();
-    let f = env.f();
-
-    // Signal "this batch has pending rounds" to every touched instance's
-    // help shard for the whole run: demand-driven shard engines tick the
-    // touched keys' help tasks exactly while these guards are held.
-    let _demand: Vec<HelpDemandGuard> =
-        groups.iter().filter_map(|g| g.parts.demand.as_ref().map(HelpDemand::begin)).collect();
-
-    struct GroupState {
-        set1: Vec<Vec<bool>>,
-        set0: Vec<Vec<bool>>,
-        n1: Vec<usize>,
-        n0: Vec<usize>,
-        outcome: Vec<Option<bool>>,
-        pending: usize,
-    }
-
-    let mut states: Vec<GroupState> = groups
-        .iter()
-        .map(|g| {
-            let items = g.vs.len();
-            GroupState {
-                set1: vec![vec![false; n]; items],
-                set0: vec![vec![false; n]; items],
-                n1: vec![0; items],
-                n0: vec![0; items],
-                outcome: (0..items).map(|_| None).collect(),
-                pending: items,
-            }
-        })
-        .collect();
-    let mut pending_total: usize = states.iter().map(|s| s.pending).sum();
-
-    // The shared logical counter: one cursor per reader, strictly above
-    // every group's current C_k so each fan-out write is a fresh bump.
-    let mut cursor = groups.iter().map(|g| g.parts.ck.read()).max().unwrap_or(0);
-
-    while pending_total > 0 {
-        env.check_running()?;
-        cursor += 1;
-        for (g, s) in groups.iter().zip(&states) {
-            if s.pending > 0 {
-                g.parts.ck.update(|c| *c = cursor);
-            }
-        }
-        // Harvest one fresh reply per pending group before the next shared
-        // bump (the batched form of Alg. 1 lines 14–17, fanned over
-        // groups: each group's round only completes on a reply answering
-        // the current cursor).
-        //
-        // Helper relevance — some undecided item has not classified the
-        // helper (cf. `quorum_rounds_many`) — is hoisted out of the spin:
-        // a group's sets only change when its round's reply is processed,
-        // after which the group leaves the spin, so one computation per
-        // round keeps each spin pass O(n) per group, not O(n·items).
-        let relevant: Vec<Vec<bool>> = groups
-            .iter()
-            .zip(&states)
-            .map(|(g, s)| {
-                (0..n)
-                    .map(|j| {
-                        (0..g.vs.len())
-                            .any(|i| s.outcome[i].is_none() && !s.set1[i][j] && !s.set0[i][j])
-                    })
-                    .collect()
-            })
-            .collect();
-        let mut need: Vec<bool> = states.iter().map(|s| s.pending > 0).collect();
-        let mut remaining = need.iter().filter(|x| **x).count();
-        while remaining > 0 {
-            env.check_running()?;
-            for (gi, g) in groups.iter().enumerate() {
-                if !need[gi] {
-                    continue;
-                }
-                let s = &mut states[gi];
-                let fresh = (0..n).find_map(|j| {
-                    if !relevant[gi][j] {
-                        return None;
-                    }
-                    let (r_j, c_j) = g.parts.replies[j].read();
-                    (c_j >= cursor).then_some((j, r_j))
-                });
-                let Some((j, r_j)) = fresh else { continue };
-                // One physical reply feeds every item that would accept it.
-                for i in 0..g.vs.len() {
-                    if s.outcome[i].is_some() || s.set1[i][j] || s.set0[i][j] {
-                        continue;
-                    }
-                    if r_j.contains(&g.vs[i]) {
-                        s.set1[i][j] = true;
-                        s.n1[i] += 1;
-                        s.set0[i] = vec![false; n];
-                        s.n0[i] = 0;
-                    } else {
-                        s.set0[i][j] = true;
-                        s.n0[i] += 1;
-                    }
-                    let decided = if s.n1[i] >= n - f {
-                        Some(true)
-                    } else if s.n0[i] > f {
-                        Some(false)
-                    } else {
-                        None
-                    };
-                    if decided.is_some() {
-                        s.outcome[i] = decided;
-                        s.pending -= 1;
-                        pending_total -= 1;
-                    }
-                }
-                need[gi] = false;
-                remaining -= 1;
-            }
-        }
-    }
-
-    Ok(states
-        .into_iter()
-        .map(|s| s.outcome.into_iter().map(|o| o.expect("all items decided")).collect())
-        .collect())
 }
 
 /// Tracks the asker/`prev_ck` handshake of the `Help()` procedures
@@ -828,83 +643,6 @@ mod tests {
         }
         sys.shutdown();
         assert!(verify_quorum_many(&env, &ck_w, &cols, &[7]).is_err());
-    }
-
-    /// A ready-to-answer reply column (every helper witnesses `witnessed`
-    /// at a huge timestamp) plus its asker counter, as one fused group.
-    fn ready_group(
-        sys: &System,
-        tag: &str,
-        witnessed: &[u32],
-        vs: &[u32],
-    ) -> (VerifyGroup<u32>, ReadPort<u64>) {
-        let env = sys.env();
-        let (ck_w, ck_r) = register::swmr(env.gate(), ProcessId::new(2), format!("C{tag}"), 0u64);
-        let replies = (1..=env.n())
-            .map(|j| {
-                let set: BTreeSet<u32> = witnessed.iter().copied().collect();
-                register::swmr(env.gate(), ProcessId::new(j), format!("R{j}{tag}"), (set, u64::MAX))
-                    .1
-            })
-            .collect();
-        let parts = EngineParts { ck: ck_w, replies, demand: None };
-        (VerifyGroup { parts, vs: vs.to_vec() }, ck_r)
-    }
-
-    #[test]
-    fn verify_quorum_groups_matches_per_register_outcomes() {
-        let sys = System::builder(4).build();
-        let (g1, _) = ready_group(&sys, "a", &[3, 7], &[3, 9, 7]);
-        let (g2, _) = ready_group(&sys, "b", &[5], &[5, 3]);
-        let got = verify_quorum_groups(sys.env(), &[g1, g2]).unwrap();
-        assert_eq!(got, vec![vec![true, false, true], vec![true, false]]);
-    }
-
-    #[test]
-    fn verify_quorum_groups_shares_one_logical_counter() {
-        // The fused engine drives every group's C_k to the *same* cursor
-        // value — one logical asker counter per reader, fanned out — even
-        // when the groups start from different counter values.
-        let sys = System::builder(4).build();
-        let (g1, ck1) = ready_group(&sys, "a", &[1], &[1]);
-        let (g2, ck2) = ready_group(&sys, "b", &[2], &[2, 9]);
-        g1.parts.ck.write(17); // a prior per-register history
-        let _ = verify_quorum_groups(sys.env(), &[g1, g2]).unwrap();
-        assert_eq!(ck1.read(), ck2.read(), "both registers end at the shared cursor");
-        assert!(ck1.read() > 17, "the cursor starts above every group's counter");
-    }
-
-    #[test]
-    fn verify_quorum_groups_handles_empty_input() {
-        let sys = System::builder(4).build();
-        assert!(verify_quorum_groups::<u32>(sys.env(), &[]).unwrap().is_empty());
-        let (g, ck) = ready_group(&sys, "a", &[1], &[]);
-        let got = verify_quorum_groups(sys.env(), &[g]).unwrap();
-        assert_eq!(got, vec![Vec::<bool>::new()]);
-        assert_eq!(ck.read(), 0, "an all-empty batch runs no rounds");
-    }
-
-    #[test]
-    fn verify_quorum_groups_aborts_on_shutdown() {
-        let sys = System::builder(4).build();
-        let env = sys.env().clone();
-        let (ck_w, _) = register::swmr(env.gate(), ProcessId::new(2), "C", 0u64);
-        let replies = (1..=4)
-            .map(|j| {
-                // Stale timestamps: nobody ever replies.
-                register::swmr(
-                    env.gate(),
-                    ProcessId::new(j),
-                    format!("R{j}"),
-                    (BTreeSet::<u32>::new(), 0u64),
-                )
-                .1
-            })
-            .collect();
-        sys.shutdown();
-        let groups =
-            [VerifyGroup { parts: EngineParts { ck: ck_w, replies, demand: None }, vs: vec![7] }];
-        assert!(verify_quorum_groups(&env, &groups).is_err());
     }
 
     #[test]

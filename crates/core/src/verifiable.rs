@@ -44,7 +44,7 @@ use byzreg_runtime::{
 use byzreg_spec::registers::{VerInv, VerResp};
 
 use crate::quorum::{
-    verify_quorum, verify_quorum_many, AskerTracker, Endpoints, EngineParts, QuorumFabric, Reply,
+    verify_quorum, verify_quorum_many, AskerTracker, Endpoints, QuorumFabric, Reply,
 };
 
 /// A process's witness set (the content of `R_i`).
@@ -480,20 +480,6 @@ impl<V: Value> VerifiableReader<V> {
             self.log.respond(op, self.pid, VerResp::VerifyResult(*outcome));
         }
         Ok(outcomes)
-    }
-
-    /// This reader's §5.1 engine handles (asker counter + reply column),
-    /// for fusing verifies across register instances — see
-    /// [`crate::quorum::verify_quorum_groups`]. The handles carry the
-    /// reader's own capabilities only; holding the reader handle is what
-    /// authorizes taking them.
-    #[must_use]
-    pub fn engine_parts(&self) -> EngineParts<V> {
-        EngineParts {
-            ck: self.ck_w.clone(),
-            replies: self.reply_column.clone(),
-            demand: self.demand.clone(),
-        }
     }
 }
 

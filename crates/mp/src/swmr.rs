@@ -40,7 +40,7 @@
 //! atomic reads without writer-side helping; all tests and benches satisfy
 //! this.
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -135,7 +135,10 @@ struct Node<V: Value> {
     echoed: HashMap<u64, V>,
     echo_from: HashMap<(u64, V), HashSet<ProcessId>>,
     valid_from: HashMap<(u64, V), HashSet<ProcessId>>,
-    pending_readers: HashSet<(ProcessId, u64)>,
+    /// Ordered: `validate` refreshes pending readers in iteration order,
+    /// which reaches the wire, so it must not depend on a per-process hash
+    /// seed.
+    pending_readers: BTreeSet<(ProcessId, u64)>,
     // Client-side state (this node doubles as its process's client agent).
     next_sn: u64,
     next_rid: u64,
@@ -151,6 +154,27 @@ struct ReadOp<V> {
 }
 
 impl<V: Value> Node<V> {
+    fn new(ep: Endpoint<Msg<V>>, config: &MpConfig, v0: V) -> Self {
+        Node {
+            ep,
+            n: config.n,
+            f: config.f,
+            writer: config.writer,
+            ts: 0,
+            val: v0,
+            validated: HashSet::new(),
+            echoed: HashMap::new(),
+            echo_from: HashMap::new(),
+            valid_from: HashMap::new(),
+            pending_readers: BTreeSet::new(),
+            next_sn: 0,
+            next_rid: 0,
+            queued: VecDeque::new(),
+            write_op: None,
+            read_op: None,
+        }
+    }
+
     fn validate(&mut self, sn: u64, v: V) {
         if !self.validated.insert(sn) {
             return;
@@ -391,9 +415,8 @@ impl ReactorTask for GroupHostTask {
 /// A co-scheduling group of emulated registers: every member is hosted on
 /// **one** reactor task, so one dispatch drains all members with pending
 /// input. A keyed store puts all base registers of one help shard's keys in
-/// one group — a fused cross-key verify batch then wakes one task per
-/// touched shard instead of one per base register, amortizing scheduler
-/// wake-ups across the batch.
+/// one group — a key's quorum rounds then wake one task instead of one per
+/// base register, amortizing scheduler wake-ups across its registers.
 ///
 /// Members enqueue themselves on a deduped ready list, so a group of
 /// thousands of quiet registers adds nothing to a dispatch's cost.
@@ -608,24 +631,7 @@ impl<V: Value> MpRegister<V> {
             cmd_tx.push(Some(tx));
             cmds.push(Some(rx));
             managed.push(true);
-            nodes.push(Some(Node {
-                ep,
-                n: config.n,
-                f: config.f,
-                writer: config.writer,
-                ts: 0,
-                val: v0.clone(),
-                validated: HashSet::new(),
-                echoed: HashMap::new(),
-                echo_from: HashMap::new(),
-                valid_from: HashMap::new(),
-                pending_readers: HashSet::new(),
-                next_sn: 0,
-                next_rid: 0,
-                queued: VecDeque::new(),
-                write_op: None,
-                read_op: None,
-            }));
+            nodes.push(Some(Node::new(ep, config, v0.clone())));
         }
         let task = RegisterTask { net: Arc::clone(&net), nodes, cmds, managed };
         BuiltRegister { task, cmd_tx, byz_eps, net }
@@ -779,6 +785,25 @@ mod tests {
         reports.insert(ProcessId::new(4), (0u64, 0u8));
         // 999 has only 1 supporter < f+1 = 2 -> best stays 0.
         assert_eq!(decide_read(&reports, 4, 1), Some((0, 0)));
+    }
+
+    #[test]
+    fn validate_refreshes_pending_readers_in_ascending_order() {
+        let config = MpConfig::new(4);
+        let net = Net::<Msg<u32>>::new(4, config.net, AdversaryPolicy::none(), false);
+        let mut node = Node::new(net.endpoint(ProcessId::new(2)), &config, 0);
+        node.pending_readers.insert((ProcessId::new(4), 1));
+        node.pending_readers.insert((ProcessId::new(3), 1));
+        node.validate(1, 7);
+        // Instant network: every message is due at once, so the reactor's
+        // global pop order is the send order.
+        let mut refreshed = Vec::new();
+        while let Some((to, _, msg)) = net.next_event(&[true; 4]) {
+            if let Msg::State { rid, .. } = msg {
+                refreshed.push((to, rid));
+            }
+        }
+        assert_eq!(refreshed, vec![(ProcessId::new(3), 1), (ProcessId::new(4), 1)]);
     }
 
     #[test]

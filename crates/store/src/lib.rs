@@ -16,9 +16,9 @@
 //!   register instantiation on first touch, and batched
 //!   [`verify_many`](store::ByzStore::verify_many) /
 //!   [`read_many`](store::ByzStore::read_many) paths — `verify_many`
-//!   dedupes per key and then fuses **all** engine-backed keys into one
-//!   cross-register §5.1 round sequence sharing a single logical asker
-//!   counter per reader;
+//!   dedupes per key and decides each key's distinct values with that
+//!   key's own batched `Verify` (one §5.1 round sequence per key,
+//!   `quorum_rounds_many`);
 //! * [`workload`] — a deterministic, seeded driver: read/write/verify mix,
 //!   Zipf-like key skew, configurable writer/reader thread counts and
 //!   Byzantine fraction;

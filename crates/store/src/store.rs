@@ -7,16 +7,14 @@
 //! keys in different shards never contend on the store itself — only the
 //! hosting [`System`]'s help engines are shared.
 //!
-//! The batched paths are where the store earns its keep under load:
+//! The batched paths amortize the quorum machinery per key:
 //! [`ByzStore::verify_many`] groups a batch of `(key, value)` checks by
-//! key, dedupes identical checks, and **fuses** every engine-backed key
-//! into one cross-register §5.1 round sequence — a single logical asker
-//! counter per reader drives all touched registers' voting loops in
-//! lockstep ([`verify_quorum_groups`]), so a batch spanning many keys
-//! costs the slowest key's rounds, not the sum of every key's rounds.
+//! key, dedupes identical checks, and decides each key's distinct values
+//! with that key's own batched `Verify` — one shared §5.1 round sequence
+//! per key (`quorum_rounds_many`), one key at a time.
 //! [`ByzStore::read_many`] likewise answers duplicate keys from a single
-//! quorum read. Under skewed (Zipf-like) traffic the dedupe amortizes hot
-//! keys; under spread-out traffic the fusion amortizes the cold ones.
+//! quorum read. Under skewed (Zipf-like) traffic the dedupe and the
+//! per-key round sharing amortize the hot keys.
 //!
 //! **Helping is partitioned by shard**: each store shard owns one
 //! demand-driven help shard of the hosting [`System`], and every key's
@@ -27,8 +25,7 @@
 //! instantiated key, and the help-engine thread budget is the shard count
 //! regardless of how many keys are live. On backends that support it
 //! (`byzreg-mp`), a shard's keys additionally share one scheduler task, so
-//! a fused cross-key batch wakes one task per touched shard instead of one
-//! per base register.
+//! a key's quorum rounds wake one task instead of one per base register.
 
 use std::collections::{BTreeMap, HashMap};
 use std::hash::Hasher;
@@ -38,7 +35,6 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use byzreg_core::api::{SignatureRegister, SignatureSigner, SignatureVerifier};
-use byzreg_core::quorum::{verify_quorum_groups, VerifyGroup};
 use byzreg_runtime::{HelpShard, ProcessId, RegisterFactory, Result, System, Value};
 
 /// Store-level tuning knobs.
@@ -251,18 +247,16 @@ impl<'s, K: Value, V: Value, R: SignatureRegister<V>, F: RegisterFactory> ByzSto
         Ok(keys.iter().map(|k| cache[k].clone()).collect())
     }
 
-    /// Verifies a batch of `(key, value)` checks, amortizing the quorum
-    /// machinery across the **whole batch, across keys**: checks are
-    /// grouped by key, identical checks are deduped, and every
-    /// engine-backed key (verifiable/authenticated) joins one **fused**
-    /// cross-register round sequence driven by a single logical asker
-    /// counter per reader ([`verify_quorum_groups`]) — one shared round
-    /// cursor fanned out to every touched register, so a batch spanning
-    /// `m` keys waits for the slowest key's rounds instead of the sum of
-    /// all keys' rounds. Engine-less keys (sticky) answer their checks
-    /// from one quorum read each, as before. Results are in input order;
-    /// semantically equivalent to calling [`verify`](ByzStore::verify)
-    /// once per check.
+    /// Verifies a batch of `(key, value)` checks. Checks are grouped by
+    /// key and identical checks within a key are deduped; each key then
+    /// decides its distinct values through its own batched
+    /// [`SignatureVerifier::verify_many`] — one shared §5.1 round sequence
+    /// per key (`quorum_rounds_many`) for verifiable/authenticated, one
+    /// quorum read per key for sticky. Keys are decided one at a time, so a
+    /// batch holds at most one key's verifier lock and wakes one help shard
+    /// at a time, and every check is recorded in its key's history log.
+    /// Results are in input order; semantically equivalent to calling
+    /// [`verify`](ByzStore::verify) once per check.
     ///
     /// # Errors
     ///
@@ -272,41 +266,18 @@ impl<'s, K: Value, V: Value, R: SignatureRegister<V>, F: RegisterFactory> ByzSto
     ///
     /// Panics if `pid` is the writer or declared Byzantine.
     pub fn verify_many(&self, pid: ProcessId, checks: &[(K, V)]) -> Result<Vec<bool>> {
-        enum Plan {
-            /// Outcomes come from fused group `i` of the cross-key run.
-            Fused(usize),
-            /// Outcomes were answered by the key's own batched verifier.
-            Done(Vec<bool>),
-        }
-
         let mut results = vec![false; checks.len()];
-        // Sorted key grouping: the verifier locks below are taken in this
-        // global order, so concurrent batches can never deadlock.
         let mut by_key: BTreeMap<&K, Vec<usize>> = BTreeMap::new();
         for (i, (key, _)) in checks.iter().enumerate() {
             by_key.entry(key).or_default().push(i);
         }
-        type KeyHandle<X> = (Vec<usize>, Arc<Mutex<X>>);
-        let handles: Vec<KeyHandle<R::Verifier>> =
-            by_key.into_iter().map(|(key, idxs)| (idxs, self.entry(key).verifier(pid))).collect();
-
-        // Engine-backed verifiers stay locked for the whole fused run (the
-        // shared cursor owns each key's asker counter until the batch is
-        // decided); engine-less ones (sticky) answer their checks and
-        // release their lock immediately — holding only one key's lock at
-        // a time, exactly like the unfused per-key path. Acquisition stays
-        // in sorted-key order throughout, so no deadlock either way.
-        let mut fused_guards = Vec::new();
-        let mut fused: Vec<VerifyGroup<V>> = Vec::new();
-        let mut plans = Vec::with_capacity(handles.len());
-        for (idxs, verifier) in &handles {
-            let mut guard = verifier.lock();
+        for (key, idxs) in by_key {
             // Dedupe identical values for this key: verify once, fan the
             // answer back out to every duplicate check.
             let mut slot_of_value: HashMap<&V, usize> = HashMap::new();
             let mut distinct: Vec<V> = Vec::new();
             let mut slots = Vec::with_capacity(idxs.len());
-            for &i in idxs {
+            for &i in &idxs {
                 let v = &checks[i].1;
                 let slot = *slot_of_value.entry(v).or_insert_with(|| {
                     distinct.push(v.clone());
@@ -314,29 +285,7 @@ impl<'s, K: Value, V: Value, R: SignatureRegister<V>, F: RegisterFactory> ByzSto
                 });
                 slots.push(slot);
             }
-            let plan = match guard.engine_parts() {
-                Some(parts) => {
-                    fused.push(VerifyGroup { parts, vs: distinct });
-                    fused_guards.push(guard);
-                    Plan::Fused(fused.len() - 1)
-                }
-                None => Plan::Done(guard.verify_many(&distinct)?),
-            };
-            plans.push((idxs, slots, plan));
-        }
-
-        let fused_outcomes = if fused.is_empty() {
-            Vec::new()
-        } else {
-            let env = self.system.env();
-            env.run_as(pid, || verify_quorum_groups(env, &fused))?
-        };
-        drop(fused_guards);
-        for (idxs, slots, plan) in plans {
-            let outcomes = match plan {
-                Plan::Fused(group) => &fused_outcomes[group],
-                Plan::Done(ref outcomes) => outcomes,
-            };
+            let outcomes = self.entry(key).verifier(pid).lock().verify_many(&distinct)?;
             for (&i, &slot) in idxs.iter().zip(&slots) {
                 results[i] = outcomes[slot];
             }
@@ -418,11 +367,9 @@ mod tests {
     }
 
     #[test]
-    fn verify_many_fused_across_keys_matches_loop_for_all_families() {
-        // Verifiable/authenticated route through the fused cross-key
-        // engine (one logical asker counter per reader); sticky takes the
-        // engine-less one-read-per-key path. All must agree with the
-        // per-check loop.
+    fn verify_many_per_key_batches_match_loop_for_all_families() {
+        // Each key decides its distinct values through its own batched
+        // verifier; the per-key answers must agree with the per-check loop.
         fn drive<R: SignatureRegister<u64>>() {
             let system = System::builder(4).build();
             let store: ByzStore<'_, u64, u64, R, _> =
@@ -438,6 +385,52 @@ mod tests {
                 checks.iter().map(|(k, v)| store.verify(p3, k, v).unwrap()).collect();
             assert_eq!(batched, looped, "{}", R::FAMILY);
             assert_eq!(batched, vec![true, true, false, true, false, true, true], "{}", R::FAMILY);
+            system.shutdown();
+        }
+        drive::<VerifiableRegister<u64>>();
+        drive::<AuthenticatedRegister<u64>>();
+        drive::<StickyRegister<u64>>();
+    }
+
+    #[test]
+    fn concurrent_overlapping_verify_many_batches_finish_and_match_loop() {
+        // Two readers batch over the same keys at once, in opposite key
+        // orders, mixing genuine, bogus and duplicate checks. Every batch
+        // must finish and agree with its per-check loop.
+        fn drive<R: SignatureRegister<u64>>() {
+            const KEYS: u64 = 12;
+            let system = System::builder(4).build();
+            let store: ByzStore<'_, u64, u64, R, _> =
+                ByzStore::new(&system, LocalFactory, 0, StoreConfig { shards: 4 });
+            for key in 0..KEYS {
+                store.write(key, key * 10).unwrap();
+            }
+            let batch = |keys: &mut dyn Iterator<Item = u64>| -> Vec<(u64, u64)> {
+                keys.flat_map(|k| [(k, k * 10), (k, k * 10 + 1), (k, k * 10)]).collect()
+            };
+            let ascending = batch(&mut (0..KEYS));
+            let descending = batch(&mut (0..KEYS).rev());
+            let start = std::sync::Barrier::new(2);
+            std::thread::scope(|s| {
+                for (pid, checks) in [(2, &ascending), (3, &descending)] {
+                    let (store, start) = (&store, &start);
+                    s.spawn(move || {
+                        let pid = ProcessId::new(pid);
+                        start.wait();
+                        for _ in 0..4 {
+                            let batched = store.verify_many(pid, checks).unwrap();
+                            let looped: Vec<bool> = checks
+                                .iter()
+                                .map(|(k, v)| store.verify(pid, k, v).unwrap())
+                                .collect();
+                            assert_eq!(batched, looped, "{} as {pid}", R::FAMILY);
+                            let expected: Vec<bool> =
+                                checks.iter().map(|(k, v)| *v == k * 10).collect();
+                            assert_eq!(batched, expected, "{} as {pid}", R::FAMILY);
+                        }
+                    });
+                }
+            });
             system.shutdown();
         }
         drive::<VerifiableRegister<u64>>();
